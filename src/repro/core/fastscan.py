@@ -21,9 +21,19 @@ serves both the in-process engine and the multiprocess shard workers
 in :mod:`repro.core.sharding` — bit-identity between the two is by
 construction, not by parallel maintenance of two implementations.
 Every stochastic draw depends only on ``(seed, salt, block, round)``,
-and probe send offsets are recovered per shard through the inverse of
-the global Feistel permutation, so a :meth:`RoundState.shard` slice
-evaluates to exactly the rows the full state would.
+so a :meth:`RoundState.shard` slice evaluates to exactly the rows the
+full state would.
+
+A round never builds the probe schedule.  A row's send offset matters
+only if it can change how many of the row's replies beat the late
+cut-off, and that count never increases with the offset: every step
+of the cleaning expression is a correctly rounded IEEE operation or a
+``floor``, and each is monotone.  So cleaning is evaluated at the
+first and the last slot's offset; a row that gets the same count at
+both is settled, and only the remaining *open* rows are located in
+the schedule through the inverse of the global Feistel permutation
+(:func:`send_offsets`).  With the default rate and cut-off no row is
+open.
 
 Results are columnar end-to-end by default: each round returns an
 :class:`~repro.anycast.catchment.ArrayCatchmentMap` over the engine's
@@ -38,7 +48,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,7 +71,12 @@ _ROUNDS = 4  # Feistel rounds; must match probing.order
 
 
 class _VectorPermutation:
-    """Vectorised twin of :class:`repro.probing.order.PseudorandomOrder`."""
+    """Vectorised inverse of :class:`repro.probing.order.PseudorandomOrder`.
+
+    Maps hitlist indices to their schedule positions, which is all the
+    engine ever needs: it asks for the positions of a few rows, never
+    for the whole schedule.
+    """
 
     def __init__(self, n: int, seed: int) -> None:
         self._n = n
@@ -83,13 +98,6 @@ class _VectorPermutation:
             )
         return mix64_np(mixed) & np.uint64(self._half_mask)
 
-    def _feistel(self, values: np.ndarray) -> np.ndarray:
-        left = values >> np.uint64(self._half_bits)
-        right = values & np.uint64(self._half_mask)
-        for round_index in range(_ROUNDS):
-            left, right = right, left ^ self._round_function(right, round_index)
-        return (left << np.uint64(self._half_bits)) | right
-
     def _feistel_inverse(self, values: np.ndarray) -> np.ndarray:
         left = values >> np.uint64(self._half_bits)
         right = values & np.uint64(self._half_mask)
@@ -97,24 +105,14 @@ class _VectorPermutation:
             left, right = right ^ self._round_function(left, round_index), left
         return (left << np.uint64(self._half_bits)) | right
 
-    def permutation(self) -> np.ndarray:
-        """``perm[p]`` = hitlist index probed at position ``p``."""
-        values = self._feistel(np.arange(self._n, dtype=np.uint64))
-        out_of_range = values >= self._n
-        while out_of_range.any():
-            values[out_of_range] = self._feistel(values[out_of_range])
-            out_of_range = values >= self._n
-        return values.astype(np.int64)
-
     def positions_of(self, indices: np.ndarray) -> np.ndarray:
         """Schedule positions of the given hitlist ``indices``.
 
-        The inverse of :meth:`permutation` without materialising the
-        whole domain: decrypt, cycle-walking backwards while the value
-        lands outside ``[0, n)``.  Because the forward walk only ever
-        passes *through* out-of-range values, walking back stops at
+        The inverse of the forward permutation without materialising
+        the whole domain: decrypt, cycle-walking backwards while the
+        value lands outside ``[0, n)``.  Because the forward walk only
+        ever passes *through* out-of-range values, walking back stops at
         exactly the position the forward permutation started from.
-        Shard workers use this to recover their rows' send offsets.
         """
         values = indices.astype(np.uint64)
         if (values >= self._n).any():
@@ -155,10 +153,20 @@ class RoundState:
     host_config: HostModelConfig
     flip_config: FlipModelConfig
     late_cutoff: float  # seconds
-    interval: float  # seconds between probes
+    rate_pps: float  # probes per second
     order_parent_seed: int
     n_total: int  # permutation domain (full universe size)
     row_start: int = 0  # first hitlist index covered by this state
+
+    @property
+    def interval(self) -> float:
+        """Seconds between probes: the prober's ``1.0 / rate_pps``."""
+        return 1.0 / self.rate_pps
+
+    @property
+    def duration_seconds(self) -> float:
+        """Length of the whole round: the prober's ``n / rate_pps``."""
+        return self.n_total / self.rate_pps
 
     @property
     def rows(self) -> int:
@@ -204,35 +212,53 @@ def _round_draw(state: RoundState, salt: int, round_id: int) -> np.ndarray:
     return uniform_from_prefix_np(state.prefixes[salt], round_id)
 
 
-def send_offsets(state: RoundState, round_id: int) -> np.ndarray:
-    """Seconds after round start each of this state's probes is sent.
+def send_offsets(
+    state: RoundState, round_id: int, rows: np.ndarray
+) -> np.ndarray:
+    """Seconds after round start at which the given rows' probes are sent.
 
-    The permutation always spans the *full* ``n_total`` domain — shard
-    boundaries must not change anyone's schedule position.  The full
-    state scatters the forward permutation (one pass); a shard decrypts
-    just its own rows through the inverse Feistel.  Both paths multiply
-    the identical integer position by the identical float interval, so
-    the offsets are bit-equal.
+    ``rows`` are local row indices into ``state``.  The permutation
+    always spans the *full* ``n_total`` domain — shard boundaries must
+    not change anyone's schedule position — and each row's position is
+    recovered through the inverse Feistel walk, then multiplied by the
+    prober's float interval, so a full state and a shard agree bit for
+    bit on every row they share.
     """
+    if rows.size == 0:
+        return np.empty(0, dtype=np.float64)
     seed = round_order_seed(state.order_parent_seed, round_id)
     perm = _VectorPermutation(state.n_total, seed)
-    if state.row_start == 0 and state.rows == state.n_total:
-        offsets = np.empty(state.n_total, dtype=np.float64)
-        offsets[perm.permutation()] = (
-            np.arange(state.n_total, dtype=np.float64) * state.interval
-        )
-        return offsets
-    rows = np.arange(
-        state.row_start, state.row_start + state.rows, dtype=np.uint64
-    )
-    return perm.positions_of(rows).astype(np.float64) * state.interval
+    positions = perm.positions_of(rows + state.row_start)
+    return positions.astype(np.float64) * state.interval
 
 
-def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
-    """One measurement round over ``state`` (pure array passes).
+def _replies_within(
+    state: RoundState,
+    offsets: Union[float, np.ndarray],
+    reply_delay: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """How many of each row's replies beat the late cut-off.
 
-    Module-level so process-pool workers can evaluate pickled shard
-    states with the very code the in-process engine runs.
+    ``offsets`` (a scalar or one per row) are send offsets in seconds,
+    ``reply_delay`` the first reply's delay in seconds; duplicates trail
+    the first reply by 0.1 ms.  Rows with ``counts == 0`` get 0.
+    """
+    first_rel = offsets + reply_delay
+    dup_gap = 0.1 / 1000.0
+    within = np.floor((state.late_cutoff - first_rel) / dup_gap) + 1
+    within = np.clip(within, 0, counts).astype(np.int64)
+    return np.where(first_rel <= state.late_cutoff, within, 0)
+
+
+def _round_replies(
+    state: RoundState, round_id: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round's replies before cleaning, as per-row columns.
+
+    Returns the replying site (int16, -1 = unrouted), the first reply's
+    delay in milliseconds, and the reply count (0 where nothing was
+    delivered).
     """
     cfg = state.host_config
     n = state.rows
@@ -277,15 +303,39 @@ def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
     )
     use_path = state.lat_ok & ~late_replier & (site >= 0)
     delay = np.where(use_path, path_delay, host_delay)
+    return site, delay, counts
+
+
+def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
+    """One measurement round over ``state`` (pure array passes).
+
+    Module-level so process-pool workers can evaluate pickled shard
+    states with the very code the in-process engine runs.
+
+    Cleaning needs a row's send offset only when the offset can change
+    how many of its replies beat the cut-off.  Every step of
+    :func:`_replies_within` is a correctly rounded IEEE operation or a
+    ``floor``, so its result never increases with the offset.  A row
+    that gets the same count at the first slot (offset ``0.0``) and at
+    the last (``(n_total - 1) * interval``, the very float the schedule
+    produces) therefore gets it at every slot in between.  Only the
+    remaining *open* rows have their schedule positions computed.
+    """
+    site, delay, counts = _round_replies(state, round_id)
+    delivered = counts > 0
 
     # Cleaning: how many of each block's replies beat the cut-off?
-    offsets = send_offsets(state, round_id)
-    first_rel = offsets + delay / 1000.0
-    dup_gap = 0.1 / 1000.0  # duplicates trail by 0.1 ms
-    within = np.floor((state.late_cutoff - first_rel) / dup_gap) + 1
-    within = np.clip(within, 0, counts).astype(np.int64)
-    within = np.where(first_rel <= state.late_cutoff, within, 0)
-    within = np.where(delivered, within, 0)
+    reply_delay = delay / 1000.0
+    last_offset = (state.n_total - 1) * state.interval
+    within = _replies_within(state, last_offset, reply_delay, counts)
+    first_slot = _replies_within(state, 0.0, reply_delay, counts)
+    open_rows = np.flatnonzero(within != first_slot)
+    within[open_rows] = _replies_within(
+        state,
+        send_offsets(state, round_id, open_rows),
+        reply_delay[open_rows],
+        counts[open_rows],
+    )
 
     received = int(counts.sum())
     unsolicited_mask = delivered & state.off_address
@@ -297,7 +347,7 @@ def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
     kept = int(kept_mask.sum())
 
     stats = ScanStats(
-        probes_sent=n,
+        probes_sent=state.rows,
         replies_received=received,
         wrong_round=0,
         unsolicited=unsolicited,
@@ -336,7 +386,7 @@ def materialise_columnar(
         dataset_id=dataset_id,
         round_id=round_id,
         start_time=start_time,
-        duration_seconds=state.rows * state.interval,
+        duration_seconds=state.duration_seconds,
         catchment=catchment,
         stats=arrays.stats,
         rtts=rtts,
@@ -522,16 +572,12 @@ class FastScanEngine:
             host_config=host_config,
             flip_config=flip_config,
             late_cutoff=verfploeter.cleaning.late_cutoff_seconds,
-            interval=1.0 / verfploeter.prober_config.rate_pps,
+            rate_pps=float(verfploeter.prober_config.rate_pps),
             order_parent_seed=verfploeter._prober._seed,
             n_total=n,
         )
 
     # -- per-round evaluation ---------------------------------------------
-
-    def _send_offsets(self, round_id: int) -> np.ndarray:
-        """Per-block send offsets of one round (the prober's schedule)."""
-        return send_offsets(self.state, round_id)
 
     def run_scan(
         self,
@@ -595,7 +641,7 @@ class FastScanEngine:
             dataset_id=label,
             round_id=round_id,
             start_time=start_time,
-            duration_seconds=state.rows * state.interval,
+            duration_seconds=state.duration_seconds,
             catchment=catchment,
             stats=arrays.stats,
             rtts=rtt_dict,

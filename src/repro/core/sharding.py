@@ -25,10 +25,16 @@ construction rather than by luck:
 * every stochastic draw in the engine depends only on
   ``(seed, salt, block, round)`` via ``hash_prefix_np``, so a shard's
   rows evaluate to exactly the values the full pass would produce;
-* probe send offsets — the one cross-block coupling — are recovered
-  per shard through the inverse of the *global* Feistel permutation
-  (:meth:`_VectorPermutation.positions_of`), multiplying the identical
-  integer position by the identical float interval;
+* probe send offsets are the one cross-block coupling, and a shard
+  needs them only for its *open* rows: those whose cleaning count
+  differs between the first and the last slot's offset.  The count
+  never increases with the offset (each step of the cleaning
+  expression is a monotone, correctly rounded IEEE operation or a
+  ``floor``), so every other row gets the same count wherever it sits
+  in the schedule.  Open rows are located through the inverse of the
+  *global* Feistel permutation (:func:`repro.core.fastscan.send_offsets`),
+  multiplying the identical integer position by the identical float
+  interval;
 * float accumulations are never merged as per-shard partial sums
   (float addition is not associative).  Workers return exact integers
   (int16 site indices, packed bool masks, per-row float64 delays that
@@ -322,7 +328,7 @@ def _merge_round(
         dataset_id=f"{dataset_prefix}-r{round_id:03d}",
         round_id=round_id,
         start_time=round_id * interval_seconds,
-        duration_seconds=state.n_total * state.interval,
+        duration_seconds=state.duration_seconds,
         catchment=catchment,
         stats=merge_stats([part[3] for part in shard_rounds]),
         rtts=rtts,

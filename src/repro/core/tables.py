@@ -347,7 +347,7 @@ def _round_state_scalars(state) -> Dict[str, object]:
         "host_config": dataclasses.asdict(state.host_config),
         "flip_config": dataclasses.asdict(state.flip_config),
         "late_cutoff": state.late_cutoff,
-        "interval": state.interval,
+        "rate_pps": state.rate_pps,
         "order_parent_seed": state.order_parent_seed,
         "n_total": state.n_total,
     }
@@ -414,7 +414,7 @@ def attach_round_state(store: TableStore, fingerprint: str):
         host_config=HostModelConfig(**manifest["host_config"]),
         flip_config=FlipModelConfig(**manifest["flip_config"]),
         late_cutoff=float(manifest["late_cutoff"]),
-        interval=float(manifest["interval"]),
+        rate_pps=float(manifest["rate_pps"]),
         order_parent_seed=int(manifest["order_parent_seed"]),
         n_total=int(manifest["n_total"]),
         row_start=0,

@@ -11,6 +11,7 @@ from repro.collector.results import BlockValueMap
 from repro.core.experiments import run_stability_series
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
 from repro.probing.order import PseudorandomOrder
+from tests.fastscan_oracle import forward_permutation
 
 
 @pytest.fixture(scope="module")
@@ -22,11 +23,11 @@ class TestVectorPermutation:
     @pytest.mark.parametrize("n,seed", [(1, 5), (7, 1), (100, 42), (4096, 9)])
     def test_matches_scalar_order(self, n, seed):
         scalar = list(PseudorandomOrder(n, seed))
-        vector = _VectorPermutation(n, seed).permutation().tolist()
+        vector = forward_permutation(_VectorPermutation(n, seed)).tolist()
         assert vector == scalar
 
     def test_is_permutation(self):
-        values = _VectorPermutation(1000, 3).permutation()
+        values = forward_permutation(_VectorPermutation(1000, 3))
         assert sorted(values.tolist()) == list(range(1000))
 
 

@@ -62,12 +62,13 @@ def test_schedule_uses_the_shared_stream():
 
 
 def test_fastscan_consumes_the_prober_stream(broot_verfploeter):
-    pytest.importorskip("numpy")
-    from repro.core.fastscan import FastScanEngine
+    np = pytest.importorskip("numpy")
+    from repro.core import fastscan
 
-    engine = FastScanEngine(broot_verfploeter)
+    engine = fastscan.FastScanEngine(broot_verfploeter)
     assert engine._prober is broot_verfploeter._prober
-    offsets = engine._send_offsets(round_id=1)
+    n = len(broot_verfploeter.hitlist)
+    offsets = fastscan.send_offsets(engine.state, 1, np.arange(n))
     schedule = broot_verfploeter._prober.schedule_round(round_id=1)
     index_of = {
         entry.address: index

@@ -28,6 +28,7 @@ from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import weight_catchment
+from tests.fastscan_oracle import forward_permutation
 
 
 def _engine_for(seed: int) -> FastScanEngine:
@@ -227,7 +228,7 @@ class TestVectorPermutationInverse:
     @pytest.mark.parametrize("n,seed", [(5, 1), (16, 9), (1000, 42), (12345, 7)])
     def test_positions_of_inverts_permutation(self, n, seed):
         perm = _VectorPermutation(n, seed)
-        forward = perm.permutation()
+        forward = forward_permutation(perm)
         positions = perm.positions_of(np.arange(n, dtype=np.int64))
         # forward[i] is the block probed at slot i, so the position of
         # block b is the slot where forward == b.
