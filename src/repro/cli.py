@@ -326,7 +326,6 @@ def _cmd_failure(args: argparse.Namespace) -> int:
 
 def _cmd_playbook(args: argparse.Namespace) -> int:
     from repro.traffic.attack import AttackProfile, compose_attack
-    from repro.load.weighting import weight_catchment
 
     scenario = _build_scenario(args)
     observer = _observer_for(args)
@@ -348,17 +347,9 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
         baseline_catchment = planner.catchment_for(baseline_policy, pool=pool)
         day = scenario.day_load("playbook-day")
         baseline_estimate = LoadEstimate(day)
-        if pool is not None:
-            from repro.core.sharding import sharded_weight_catchment
-
-            baseline_load = sharded_weight_catchment(
-                baseline_catchment, baseline_estimate, pool=pool,
-                observer=observer,
-            )
-        else:
-            baseline_load = weight_catchment(
-                baseline_catchment, baseline_estimate, observer=observer
-            )
+        baseline_load = planner.load_for(
+            baseline_catchment, baseline_estimate, pool=pool
+        )
         site_codes = scenario.service.site_codes
         attacked = args.attack_site or max(
             sorted(site_codes), key=baseline_load.daily_of
@@ -382,7 +373,6 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
             capacities,
             max_prepend=args.max_prepend,
             depth=args.depth,
-            parallel=args.parallel,
             pool=pool,
             attack=profile,
             attacker_count=len(attackers),
@@ -633,10 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     playbook.add_argument(
         "--top", type=int, default=8,
         help="ranked configs to print (the artifact always has all)",
-    )
-    playbook.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="evaluate candidates on N threads (byte-identical to serial)",
     )
     playbook.add_argument(
         "--workers", type=int, default=None, metavar="N",

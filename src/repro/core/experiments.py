@@ -4,15 +4,16 @@ All drivers evaluate routing through a :class:`RoutingCache`: the first
 configuration propagates in full, every later one is an incremental
 delta against it, and repeated configurations are dictionary hits.
 Results are bit-identical to scratch propagation either way.  Drivers
-that sweep independent scenarios accept ``parallel=`` to fan the
-scenarios out across a thread pool; results keep configuration order.
+evaluate their configurations in sequence, in configuration order; the
+one parallel mechanism is the process-level
+:class:`repro.core.pool.ShardPool`, reached through
+``run_stability_series(shards=..., pool=...)``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.atlas.platform import AtlasPlatform
 from repro.bgp.cache import RoutingCache, default_routing_cache
@@ -26,6 +27,7 @@ from repro.analysis.results import (
 )
 from repro.collector.results import ScanResult
 from repro.core.verfploeter import Verfploeter
+from repro.errors import ConfigurationError
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import (
     UNKNOWN,
@@ -33,26 +35,6 @@ from repro.load.weighting import (
     capacity_violations,
     weight_catchment,
 )
-
-_T = TypeVar("_T")
-
-
-def _run_indexed(
-    worker: Callable[[int], _T], count: int, parallel: int
-) -> List[_T]:
-    """Run ``worker(0..count-1)``, optionally on threads, in index order.
-
-    Scenario workers are independent: they compute (or cache-fetch) a
-    routing outcome and run scans against per-call state.  Shared
-    structures they touch — the routing cache, an outcome's memoised
-    PoP/catchment maps — take locks or perform idempotent writes of
-    deterministic values, so the fan-out cannot change results, only
-    wall-clock time.
-    """
-    if parallel > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=min(parallel, count)) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(index) for index in range(count)]
 
 #: The paper's Figure 5/6 x-axis for B-Root.
 BROOT_PREPEND_CONFIGS: Tuple[Tuple[str, Mapping[str, int]], ...] = (
@@ -69,7 +51,6 @@ def prepend_sweep(
     atlas: AtlasPlatform,
     configs: Sequence[Tuple[str, Mapping[str, int]]] = BROOT_PREPEND_CONFIGS,
     cache: Optional[RoutingCache] = None,
-    parallel: int = 1,
 ) -> List[PrependMeasurement]:
     """Measure each prepending configuration with Atlas and Verfploeter.
 
@@ -86,12 +67,12 @@ def prepend_sweep(
     with observer.tracer.span(
         "experiment.prepend_sweep", configs=len(configs)
     ):
-        # Seed the unprepended baseline before fanning out so every variant
-        # finds a delta baseline instead of propagating from scratch.
+        # Seed the unprepended baseline first so every variant finds a
+        # delta baseline instead of propagating from scratch.
         routing_cache.get_or_compute(internet, service.default_policy())
 
-        def measure_config(index: int) -> PrependMeasurement:
-            label, prepends = configs[index]
+        measurements: List[PrependMeasurement] = []
+        for index, (label, prepends) in enumerate(configs):
             with observer.tracer.span("prepend.config", label=label):
                 policy = service.policy(prepends=prepends)
                 routing = routing_cache.get_or_compute(internet, policy)
@@ -104,15 +85,16 @@ def prepend_sweep(
                 atlas_measurement = atlas.measure(
                     routing, service, measurement_id=index
                 )
-            return PrependMeasurement(
-                label=label,
-                policy=policy,
-                atlas_fractions=atlas_measurement.fractions(),
-                verfploeter_fractions=scan.catchment.fractions(),
-                scan=scan,
+            measurements.append(
+                PrependMeasurement(
+                    label=label,
+                    policy=policy,
+                    atlas_fractions=atlas_measurement.fractions(),
+                    verfploeter_fractions=scan.catchment.fractions(),
+                    scan=scan,
+                )
             )
-
-        return _run_indexed(measure_config, len(configs), parallel)
+        return measurements
 
 
 def run_stability_series(
@@ -122,9 +104,7 @@ def run_stability_series(
     interval_seconds: float = 900.0,
     fast: bool = False,
     cache: Optional[RoutingCache] = None,
-    parallel: int = 1,
     shards: Optional[int] = None,
-    workers: Optional[int] = None,
     pool=None,
 ) -> StabilitySeries:
     """Run the paper's 24-hour stability experiment (§6.3).
@@ -133,20 +113,17 @@ def run_stability_series(
     stable/flipped/to-NR/from-NR counts and per-block flip totals.
     With ``fast=True`` the vectorised engine runs the rounds
     (bit-identical results, ~50x faster — required for paper-scale
-    series) and ``parallel`` > 1 fans them out over threads; the scalar
-    engine ignores ``parallel`` (its rounds share mutable dataplane
-    state).  ``shards``/``workers`` instead fan the fast engine over
-    the block universe in worker processes via
-    :func:`repro.core.sharding.run_sharded_series` (bit-identical
-    again; setting either implies ``fast``), and an open
-    :class:`repro.core.pool.ShardPool` passed as ``pool`` lets several
-    series in one invocation share warm worker processes.  The routing
-    state is resolved through ``cache``, so a series over an
-    already-studied policy skips propagation entirely.
+    series).  ``shards`` instead fans the fast engine over the block
+    universe via :func:`repro.core.sharding.run_sharded_series`
+    (bit-identical again; setting it or ``pool`` implies ``fast``),
+    and an open :class:`repro.core.pool.ShardPool` passed as ``pool``
+    lets several series in one invocation share warm worker
+    processes.  The routing state is resolved through ``cache``, so a
+    series over an already-studied policy skips propagation entirely.
     """
     observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()
-    sharded = shards is not None or workers is not None or pool is not None
+    sharded = shards is not None or pool is not None
     with observer.tracer.span(
         "experiment.stability_series", rounds=rounds, fast=fast or sharded
     ):
@@ -162,7 +139,6 @@ def run_stability_series(
                 engine,
                 rounds=rounds,
                 shards=shards,
-                workers=workers,
                 interval_seconds=interval_seconds,
                 dataset_prefix="stability",
                 pool=pool,
@@ -175,7 +151,6 @@ def run_stability_series(
                 rounds=rounds,
                 interval_seconds=interval_seconds,
                 dataset_prefix="stability",
-                parallel=parallel,
             )
         else:
             scans = verfploeter.run_series(
@@ -249,68 +224,42 @@ class SiteFailureResult:
         return worst, self.overload_factor(worst)
 
 
-def _pooled_failure_scan(
-    verfploeter: Verfploeter, routing, dataset_id: str, pool
-) -> ScanResult:
-    """One round-0 scan of a routing state, sharded over ``pool``."""
-    import dataclasses
-
-    from repro.core.fastscan import FastScanEngine
-    from repro.core.sharding import run_sharded_series
-
-    engine = FastScanEngine(verfploeter, routing)
-    scan = run_sharded_series(
-        engine, rounds=1, pool=pool, dataset_prefix=dataset_id
-    )[0]
-    return dataclasses.replace(scan, dataset_id=dataset_id)
-
-
 def site_failure_study(
     verfploeter: Verfploeter,
     estimate: LoadEstimate,
     sites: Optional[Sequence[str]] = None,
     cache: Optional[RoutingCache] = None,
-    parallel: int = 1,
-    pool=None,
 ) -> List[SiteFailureResult]:
     """Withdraw each site in turn and predict the load redistribution.
 
-    For every site: announce the service without it, measure the new
-    catchment with Verfploeter, weight by historical load, and compare
-    per-site daily load against the all-sites baseline.  Each
-    withdrawal's routing is a delta against the all-sites baseline.
-
-    With an open :class:`repro.core.pool.ShardPool` as ``pool``, every
-    withdrawal's scan and load join fan over the pool's warm workers
-    (round 0 per routing state through the vectorised engine, so
-    per-scan values match ``FastScanEngine.run_scan(0)`` rather than
-    the scalar path's per-withdrawal round ids).
+    For every site in ``sites`` (default: all of them; an empty
+    sequence studies none): announce the service without it, measure
+    the new catchment with Verfploeter, weight by historical load, and
+    compare per-site daily load against the all-sites baseline.  Each
+    withdrawal's routing is a delta against the all-sites baseline,
+    and every scan is round 0 — the baseline's round — so a
+    withdrawal's result does not depend on which other sites are
+    studied or where it sits in ``sites``.
     """
     service = verfploeter.service
     internet = verfploeter.internet
     observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()
-    with observer.tracer.span("experiment.site_failure"):
-        baseline_routing = routing_cache.get_or_compute(
-            internet, service.default_policy()
-        )
-        if pool is not None:
-            from repro.core.sharding import sharded_weight_catchment
+    study_sites = list(service.site_codes if sites is None else sites)
+    if not study_sites:
+        return []
 
-            baseline_scan = _pooled_failure_scan(
-                verfploeter, baseline_routing, "failure-baseline", pool
-            )
-            baseline_load = sharded_weight_catchment(
-                baseline_scan.catchment, estimate, pool=pool, observer=observer
-            )
-        else:
-            baseline_scan = verfploeter.run_scan(
-                routing=baseline_routing, dataset_id="failure-baseline",
-                wire_level=False,
-            )
-            baseline_load = weight_catchment(
-                baseline_scan.catchment, estimate, observer=observer
-            )
+    def measure(routing, dataset_id: str) -> Tuple[ScanResult, SiteLoad]:
+        scan = verfploeter.run_scan(
+            routing=routing, dataset_id=dataset_id, wire_level=False
+        )
+        return scan, weight_catchment(scan.catchment, estimate, observer=observer)
+
+    with observer.tracer.span("experiment.site_failure"):
+        _, baseline_load = measure(
+            routing_cache.get_or_compute(internet, service.default_policy()),
+            "failure-baseline",
+        )
         baseline = {
             code: baseline_load.daily_of(code)
             for code in (*service.site_codes, UNKNOWN)
@@ -318,50 +267,31 @@ def site_failure_study(
         peak_baseline = {
             code: baseline_load.peak_of(code) for code in service.site_codes
         }
-        study_sites = list(sites or service.site_codes)
-
-        def withdraw_site(index: int) -> SiteFailureResult:
-            site_code = study_sites[index]
+        results: List[SiteFailureResult] = []
+        for site_code in study_sites:
             with observer.tracer.span("failure.withdrawal", site=site_code):
                 policy = service.policy(withdrawn=[site_code])
-                routing = routing_cache.get_or_compute(internet, policy)
-                if pool is not None:
-                    from repro.core.sharding import sharded_weight_catchment
-
-                    scan = _pooled_failure_scan(
-                        verfploeter, routing, f"failure-{site_code}", pool
-                    )
-                    after_load = sharded_weight_catchment(
-                        scan.catchment, estimate, pool=pool, observer=observer
-                    )
-                else:
-                    scan = verfploeter.run_scan(
-                        routing=routing,
-                        round_id=100 + index,
-                        dataset_id=f"failure-{site_code}",
-                        wire_level=False,
-                    )
-                    after_load = weight_catchment(
-                        scan.catchment, estimate, observer=observer
-                    )
-            after = {
-                code: after_load.daily_of(code)
-                for code in (*service.site_codes, UNKNOWN)
-            }
-            peak_after = {
-                code: after_load.peak_of(code)
-                for code in service.site_codes
-            }
-            return SiteFailureResult(
-                withdrawn_site=site_code,
-                baseline=baseline,
-                after=after,
-                scan=scan,
-                peak_baseline=peak_baseline,
-                peak_after=peak_after,
+                scan, after_load = measure(
+                    routing_cache.get_or_compute(internet, policy),
+                    f"failure-{site_code}",
+                )
+            results.append(
+                SiteFailureResult(
+                    withdrawn_site=site_code,
+                    baseline=baseline,
+                    after={
+                        code: after_load.daily_of(code)
+                        for code in (*service.site_codes, UNKNOWN)
+                    },
+                    scan=scan,
+                    peak_baseline=peak_baseline,
+                    peak_after={
+                        code: after_load.peak_of(code)
+                        for code in service.site_codes
+                    },
+                )
             )
-
-        return _run_indexed(withdraw_site, len(study_sites), parallel)
+        return results
 
 
 @dataclass(frozen=True)
@@ -400,6 +330,8 @@ def prediction_decay_study(
     """
     from repro.load.prediction import measured_site_load
 
+    if not eras:
+        raise ConfigurationError("prediction_decay_study needs at least one era")
     service = verfploeter.service
     observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()

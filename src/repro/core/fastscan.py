@@ -46,7 +46,6 @@ the equivalence suite compares against.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -652,29 +651,19 @@ class FastScanEngine:
         rounds: int,
         interval_seconds: float = 900.0,
         dataset_prefix: str = "fast-series",
-        parallel: int = 1,
     ) -> List[ScanResult]:
         """A stability series, vectorised round by round.
 
-        ``parallel`` > 1 fans the rounds out over a thread pool
-        (mirroring the experiment drivers' opt-in fan-out): each round
-        reads only the engine's immutable precomputed arrays, so the
-        fan-out changes wall-clock time, never results.  Results keep
-        round order either way.  For process-level fan-out sharded over
-        the block universe, see :func:`repro.core.sharding.run_sharded_series`.
+        Results keep round order.  For process-level fan-out sharded
+        over the block universe, see
+        :func:`repro.core.sharding.run_sharded_series`.
         """
-
-        def one_round(round_id: int) -> ScanResult:
-            return self.run_scan(
-                round_id=round_id,
-                start_time=round_id * interval_seconds,
-                dataset_id=f"{dataset_prefix}-r{round_id:03d}",
-            )
-
-        with self.observer.tracer.span(
-            "fastscan.series", rounds=rounds, parallel=parallel
-        ):
-            if parallel > 1 and rounds > 1:
-                with ThreadPoolExecutor(max_workers=min(parallel, rounds)) as pool:
-                    return list(pool.map(one_round, range(rounds)))
-            return [one_round(round_id) for round_id in range(rounds)]
+        with self.observer.tracer.span("fastscan.series", rounds=rounds):
+            return [
+                self.run_scan(
+                    round_id=round_id,
+                    start_time=round_id * interval_seconds,
+                    dataset_id=f"{dataset_prefix}-r{round_id:03d}",
+                )
+                for round_id in range(rounds)
+            ]

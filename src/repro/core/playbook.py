@@ -14,11 +14,11 @@ overwhelmed.  This module is that search over our substrate:
    propagation on first sight, dictionary hits after), a memoised
    vectorised catchment scan per distinct policy, and the columnar
    :func:`~repro.load.weighting.weight_catchment` join against the
-   attack-day load — optionally fanned over threads or a
-   :class:`~repro.core.pool.ShardPool`;
+   attack-day load — each scan and join optionally sharded over an
+   open :class:`~repro.core.pool.ShardPool`;
 3. the result ranks configs by (capacity violations, worst peak
-   utilisation, config id) — byte-identically across runs, serial or
-   parallel — and renders to a canonical JSON artifact with per-config
+   utilisation, config id) — byte-identically across runs, inline or
+   pooled — and renders to a canonical JSON artifact with per-config
    before/after load tables and an "absorber" recommendation.
 
 Capacity semantics are the repo-wide pinned definition of
@@ -29,10 +29,9 @@ strict ``>``, withdrawn sites never violate.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from threading import Lock
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.anycast.catchment import CatchmentMap
 from repro.bgp.cache import (
@@ -53,26 +52,6 @@ from repro.load.weighting import (
     weight_catchment,
 )
 from repro.traffic.attack import AttackProfile
-
-_T = TypeVar("_T")
-
-
-def _run_indexed(
-    worker: Callable[[int], _T], count: int, parallel: int
-) -> List[_T]:
-    """Run ``worker(0..count-1)``, optionally on threads, in index order.
-
-    Candidate evaluations are independent; the structures they share —
-    the routing cache, the planner's catchment memo — take locks or
-    perform idempotent writes of deterministic values, so fanning out
-    changes wall-clock time only, never results (asserted byte-for-byte
-    by ``tests/test_playbook.py``).
-    """
-    if parallel > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=min(parallel, count)) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(index) for index in range(count)]
-
 
 @dataclass(frozen=True)
 class PlaybookEntry:
@@ -235,11 +214,11 @@ class Playbook:
         """The playbook as a plain deterministic dict (artifact schema).
 
         Stats that legitimately vary between equivalent runs — cache
-        hit counts under thread races, wall-clock — are deliberately
-        absent: two same-seed searches must render byte-identically,
-        serial or parallel, cold caches or warm (they live in the
-        metrics/trace sidecars instead).  Floats are rounded to 6
-        decimals for a stable, readable rendering.
+        hit counts, wall-clock — are deliberately absent: two same-seed
+        searches must render byte-identically, inline or pooled, cold
+        caches or warm (they live in the metrics/trace sidecars
+        instead).  Floats are rounded to 6 decimals for a stable,
+        readable rendering.
         """
         def table(outcome: ConfigOutcome) -> dict:
             return {
@@ -368,6 +347,19 @@ class PlaybookPlanner:
             self._catchments.setdefault(key, scan.catchment)
             return self._catchments[key]
 
+    def load_for(
+        self, catchment: CatchmentMap, estimate: LoadEstimate, pool=None
+    ) -> SiteLoad:
+        """Weight ``catchment`` by ``estimate``: the columnar join inline,
+        or sharded over ``pool`` when given (bit-identical either way)."""
+        if pool is None:
+            return weight_catchment(catchment, estimate, observer=self.observer)
+        from repro.core.sharding import sharded_weight_catchment
+
+        return sharded_weight_catchment(
+            catchment, estimate, pool=pool, observer=self.observer
+        )
+
     def _outcome(
         self,
         entry: PlaybookEntry,
@@ -450,7 +442,6 @@ class PlaybookPlanner:
         capacities: Dict[str, float],
         max_prepend: int = 3,
         depth: int = 1,
-        parallel: int = 1,
         pool=None,
         attack: Optional[AttackProfile] = None,
         attacker_count: int = 0,
@@ -460,12 +451,10 @@ class PlaybookPlanner:
         ``estimate`` is the *attack-day* load (compose one with
         :func:`repro.traffic.attack.compose_attack`); ``capacities``
         come from :func:`derive_capacities` over the normal day.
-        ``parallel`` > 1 fans candidate evaluations over threads; an
-        open :class:`~repro.core.pool.ShardPool` as ``pool`` instead
-        shards each scan and load join over warm worker processes
-        (``pool`` takes precedence — candidates then run in sequence so
-        the pool is never contended).  Either way the ranked result is
-        byte-identical to the serial search.
+        Candidates run in lattice order; an open
+        :class:`~repro.core.pool.ShardPool` as ``pool`` shards each
+        scan and load join over warm worker processes, and the ranked
+        result is byte-identical to the inline search.
         """
         service = self.verfploeter.service
         internet = self.verfploeter.internet
@@ -483,28 +472,17 @@ class PlaybookPlanner:
             # so every variant propagates as a delta, not from scratch.
             self.cache.get_or_compute(internet, service.default_policy())
 
-            def evaluate(index: int) -> ConfigOutcome:
-                entry = entries[index]
+            outcomes = []
+            for entry in entries:
                 with observer.tracer.span(
                     "playbook.candidate", label=entry.label
                 ):
-                    policy = entry.policy_for(service)
-                    catchment = self.catchment_for(policy, pool=pool)
-                    if pool is not None:
-                        from repro.core.sharding import sharded_weight_catchment
-
-                        load = sharded_weight_catchment(
-                            catchment, estimate, pool=pool, observer=observer
-                        )
-                    else:
-                        load = weight_catchment(
-                            catchment, estimate, observer=observer
-                        )
+                    catchment = self.catchment_for(
+                        entry.policy_for(service), pool=pool
+                    )
+                    load = self.load_for(catchment, estimate, pool=pool)
                 observer.metrics.counter("playbook.configs_evaluated").inc()
-                return self._outcome(entry, load, capacities)
-
-            fanout = 1 if pool is not None else parallel
-            outcomes = _run_indexed(evaluate, len(entries), fanout)
+                outcomes.append(self._outcome(entry, load, capacities))
             baseline = outcomes[0]
             ranked = sorted(outcomes, key=ConfigOutcome.sort_key)
             span.set(configs=len(entries))

@@ -9,11 +9,13 @@ across reruns — tests pin trace *shape* without depending on wall
 time.  Operators who want wall-clock durations inject
 ``time.perf_counter`` instead.
 
-The tracer keeps one span stack per thread: spans opened on a worker
-thread (the experiment drivers' opt-in ``parallel=`` fan-out) become
-additional roots in completion order.  Deterministic artifacts
-therefore come from sequential runs, which is what the CLI and the
-report generator do.
+The tracer keeps one span stack per thread because the mapping
+daemon (:mod:`repro.service`) traces from several at once: its ingest
+thread and the HTTP server's request threads.  A span opened with
+no open span on its own thread becomes a root, and roots are kept in
+completion order.  Deterministic artifacts therefore come from
+single-threaded runs, which is what the CLI and the report generator
+do.
 """
 
 from __future__ import annotations

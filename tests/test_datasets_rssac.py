@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.experiments import prediction_decay_study
 from repro.datasets import read_scan, write_scan
-from repro.errors import DatasetError
+from repro.errors import ConfigurationError, DatasetError
 from repro.load.estimator import LoadEstimate
 from repro.load.rssac import build_rssac_report
 
@@ -98,3 +98,11 @@ class TestPredictionDecay:
         errors = [point.max_error() for point in points]
         assert errors[0] <= max(errors) + 1e-12
         assert errors[0] == min(errors) or errors[0] < 0.12
+
+    def test_no_eras_is_a_configuration_error(self, broot_tiny, broot_verfploeter):
+        with pytest.raises(ConfigurationError):
+            prediction_decay_study(
+                broot_verfploeter,
+                lambda era: broot_tiny.day_load(f"era-{era}", day_index=era),
+                eras=(),
+            )

@@ -106,25 +106,6 @@ class TestColumnarResults:
         universes = [scan.catchment.universe for scan in scans]
         assert all(universe is universes[0] for universe in universes)
 
-    def test_parallel_series_equals_serial(self, engine):
-        serial = engine.run_series(rounds=4, interval_seconds=50.0)
-        threaded = engine.run_series(rounds=4, interval_seconds=50.0, parallel=4)
-        assert [scan.dataset_id for scan in threaded] == [
-            scan.dataset_id for scan in serial
-        ]
-        for a, b in zip(serial, threaded):
-            assert a.stats == b.stats
-            assert dict(a.catchment.items()) == dict(b.catchment.items())
-            assert dict(a.rtts.items()) == dict(b.rtts.items())
-
-    def test_parallel_stability_series_equals_serial(self, broot_verfploeter):
-        serial = run_stability_series(broot_verfploeter, rounds=4, fast=True)
-        threaded = run_stability_series(
-            broot_verfploeter, rounds=4, fast=True, parallel=4
-        )
-        assert serial.flip_counts == threaded.flip_counts
-        assert serial.rounds == threaded.rounds
-
     def test_median_rtt_fast_path_agrees(self, broot_verfploeter, engine):
         fast = engine.run_scan(round_id=1)
         reference_rtts = dict(fast.rtts.items())

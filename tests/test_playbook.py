@@ -15,7 +15,9 @@ from repro.core.playbook import (
     derive_capacities,
     enumerate_lattice,
 )
+from repro.core.pool import ShardPool
 from repro.core.scenarios import tangled_like
+from repro.core.sharding import assert_site_loads_identical
 from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import UNKNOWN, capacity_violations, weight_catchment
@@ -227,7 +229,7 @@ class TestLattice:
             enumerate_lattice(tangled_vp.service, "MIA", depth=3)
 
 
-def _plan_artifact(seed: int, parallel: int = 1) -> str:
+def _plan_artifact(seed: int) -> str:
     """One complete cold search at tiny scale, rendered to canonical JSON."""
     scenario = tangled_like(scale="tiny", seed=seed)
     vp = Verfploeter(scenario.internet, scenario.service)
@@ -246,7 +248,6 @@ def _plan_artifact(seed: int, parallel: int = 1) -> str:
         derive_capacities(load, scenario.service.site_codes),
         max_prepend=2,
         depth=1,
-        parallel=parallel,
         attack=profile,
         attacker_count=len(attackers),
     )
@@ -257,9 +258,6 @@ class TestPlannerDeterminism:
     @pytest.mark.parametrize("seed", [3, 17, 123])
     def test_same_seed_same_bytes(self, seed):
         assert _plan_artifact(seed) == _plan_artifact(seed)
-
-    def test_parallel_equals_serial_bytes(self):
-        assert _plan_artifact(3, parallel=1) == _plan_artifact(3, parallel=4)
 
     def test_different_seeds_differ(self):
         assert _plan_artifact(3) != _plan_artifact(17)
@@ -323,6 +321,19 @@ class TestPlannerDeterminism:
         assert again.to_json() == playbook.to_json()
 
 
+class TestLoadJoin:
+    def test_inline_equals_pooled(self, tangled_vp, baseline_catchment, day):
+        planner = PlaybookPlanner(tangled_vp, cache=RoutingCache())
+        estimate = LoadEstimate(day)
+        inline = planner.load_for(baseline_catchment, estimate)
+        with ShardPool(workers=0) as pool:
+            pooled = planner.load_for(baseline_catchment, estimate, pool=pool)
+        assert_site_loads_identical(pooled, inline)
+        assert_site_loads_identical(
+            inline, weight_catchment(baseline_catchment, estimate)
+        )
+
+
 class TestCliRoundTrip:
     ARGS = [
         "playbook", "--scenario", "tangled", "--scale", "tiny",
@@ -358,11 +369,16 @@ class TestCliRoundTrip:
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
         assert main(self.ARGS + ["--out", str(first)]) == 0
-        assert main(
-            self.ARGS + ["--parallel", "3", "--out", str(second)]
-        ) == 0
+        assert main(self.ARGS + ["--out", str(second)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    def test_parallel_flag_is_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(self.ARGS + ["--parallel", "3"])
+        assert "--parallel" in capsys.readouterr().err
 
     def test_workers_zero_matches_in_process(self, tmp_path, capsys):
         from repro.cli import main

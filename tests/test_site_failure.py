@@ -58,3 +58,42 @@ class TestSiteFailure:
         only_lax = site_failure_study(broot_verfploeter, estimate, sites=["LAX"])
         assert len(only_lax) == 1
         assert only_lax[0].withdrawn_site == "LAX"
+
+    def test_empty_sites_studies_nothing(self, broot_verfploeter, estimate):
+        assert site_failure_study(broot_verfploeter, estimate, sites=[]) == []
+
+
+def _assert_same_withdrawal(one, other):
+    assert one.withdrawn_site == other.withdrawn_site
+    assert one.baseline == other.baseline
+    assert one.after == other.after
+    assert one.peak_baseline == other.peak_baseline
+    assert one.peak_after == other.peak_after
+    assert one.worst_overload() == other.worst_overload()
+    assert one.scan.round_id == other.scan.round_id
+    assert one.scan.stats == other.scan.stats
+    assert dict(one.scan.catchment.items()) == dict(other.scan.catchment.items())
+    assert dict(one.scan.rtts.items()) == dict(other.scan.rtts.items())
+
+
+class TestWithdrawalIndependence:
+    """A withdrawal's result does not depend on the rest of ``sites``."""
+
+    def test_subset_equals_full_study(self, broot_verfploeter, estimate, results):
+        full = {result.withdrawn_site: result for result in results}
+        for site_code in full:
+            (only,) = site_failure_study(
+                broot_verfploeter, estimate, sites=[site_code]
+            )
+            _assert_same_withdrawal(only, full[site_code])
+
+    def test_duplicated_site_gives_identical_results(
+        self, broot_verfploeter, estimate
+    ):
+        first, second = site_failure_study(
+            broot_verfploeter, estimate, sites=["LAX", "LAX"]
+        )
+        _assert_same_withdrawal(first, second)
+
+    def test_withdrawals_scan_the_baseline_round(self, results):
+        assert [result.scan.round_id for result in results] == [0] * len(results)
