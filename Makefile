@@ -1,6 +1,6 @@
 # Convenience targets for the verfploeter reproduction.
 
-.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-columnar bench-obs bench-sharded bench-sharded-smoke bench-playbook docs examples report serve-smoke all
+.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-columnar bench-obs bench-sharded bench-sharded-smoke bench-playbook docs examples report serve-smoke digests all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -70,5 +70,10 @@ report:
 # real HTTP, and require byte-identical data responses.
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
+
+# Golden sha256 digests of seeded topologies and scan rounds; diff the
+# output of two checkouts to check a change is bit-identical.
+digests:
+	@python tools/round_digests.py
 
 all: lint docs test serve-smoke bench

@@ -24,6 +24,19 @@ Every stochastic draw depends only on ``(seed, salt, block, round)``,
 so a :meth:`RoundState.shard` slice evaluates to exactly the rows the
 full state would.
 
+For the same reason a round is *responder-first*: it takes each
+per-round draw only on the rows whose result the draw can change, and
+skipping a row never shifts another row's value (each draw finishes a
+gathered per-block prefix, ``uniform_from_prefix_np(prefix[rows], r)``,
+which equals the full draw at those rows).  The churn draw runs on
+``stable`` rows; the flip draw on responders whose site can flip
+(``alternate >= 0 & (participates | ~flipper)``); the duplicate-tail
+draw on delivered duplicators.  The late draw and cleaning run on
+delivered on-address rows, because an off-address reply counts as
+unsolicited whatever its timing; of those, the jitter draw runs where
+the path delay is used and the latency draw where it is not.  Only the
+kept rows are returned (:class:`RoundArrays`).
+
 A round never builds the probe schedule.  A row's send offset matters
 only if it can change how many of the row's replies beat the late
 cut-off, and that count never increases with the offset: every step
@@ -198,17 +211,26 @@ class RoundState:
 
 @dataclass
 class RoundArrays:
-    """One evaluated round, before materialisation into a ScanResult."""
+    """One evaluated round, before materialisation into a ScanResult.
 
-    site: np.ndarray  # int16 replying site per row (meaningful where kept)
-    delay: np.ndarray  # float64 first-reply delay (ms) per row
-    kept_mask: np.ndarray  # bool: row survives cleaning
+    Kept rows only: a row that did not survive cleaning has no site or
+    delay worth carrying, and every consumer (materialisation, the
+    dict-backed reference path, the shard merge) reads kept rows alone.
+    """
+
+    rows: np.ndarray  # int64 ascending local row indices that survive cleaning
+    site: np.ndarray  # int16 replying site index per kept row
+    delay: np.ndarray  # float64 first-reply delay (ms) per kept row
     stats: ScanStats
 
 
-def _round_draw(state: RoundState, salt: int, round_id: int) -> np.ndarray:
-    """One per-block uniform draw for this round (prefix finished)."""
-    return uniform_from_prefix_np(state.prefixes[salt], round_id)
+def _draw(state: RoundState, salt: int, round_id: int, rows: np.ndarray) -> np.ndarray:
+    """This round's uniform draw for ``rows`` only (prefixes gathered).
+
+    A draw is a pure function of ``(seed, salt, block, round)``, so the
+    value a row gets does not depend on which other rows are drawn.
+    """
+    return uniform_from_prefix_np(state.prefixes[salt][rows], round_id)
 
 
 def send_offsets(
@@ -250,59 +272,76 @@ def _replies_within(
     return np.where(first_rel <= state.late_cutoff, within, 0)
 
 
-def _round_replies(
-    state: RoundState, round_id: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One round's replies before cleaning, as per-row columns.
+def _delivered(state: RoundState, round_id: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows whose probe reaches a site this round, and that site.
 
-    Returns the replying site (int16, -1 = unrouted), the first reply's
-    delay in milliseconds, and the reply count (0 where nothing was
-    delivered).
+    Only a stable row can respond (churn draw); only a responder with
+    an alternate site, in the flip population, can flip (flip draw).
+    """
+    flip = state.flip_config
+    stable = np.flatnonzero(state.stable)
+    churn = _draw(state, _hosts._CHURN_SALT, round_id, stable)
+    responders = stable[churn >= state.host_config.churn_probability]
+
+    site = state.base[responders]
+    can_flip = np.flatnonzero(
+        (state.alternate[responders] >= 0)
+        & (state.participates[responders] | ~state.flipper[responders])
+    )
+    flip_rows = responders[can_flip]
+    flip_draw = _draw(state, _instability._FLIP_SALT, round_id, flip_rows)
+    flips = (
+        state.participates[flip_rows] & (flip_draw < flip.flipper_flip_probability)
+    ) | (~state.flipper[flip_rows] & (flip_draw < flip.background_flip_probability))
+    site[can_flip[flips]] = state.alternate[flip_rows[flips]]
+    routed = site >= 0
+    return responders[routed], site[routed]
+
+
+def _reply_counts(state: RoundState, round_id: int, rows: np.ndarray) -> np.ndarray:
+    """Replies each delivered row sends: 1, or more for duplicators."""
+    cfg = state.host_config
+    counts = np.ones(rows.size, dtype=np.int64)
+    dup = np.flatnonzero(state.duplicator[rows])
+    tail = _draw(state, _hosts._DUPN_SALT, round_id, rows[dup])
+    heavy = tail < cfg.heavy_duplicate_fraction
+    counts[dup] = 2
+    heaviness = tail[heavy] / cfg.heavy_duplicate_fraction
+    counts[dup[heavy]] = 3 + ((cfg.max_duplicates - 3) * heaviness).astype(np.int64)
+    return counts
+
+
+def _first_reply_delay(
+    state: RoundState, round_id: int, rows: np.ndarray, site: np.ndarray
+) -> np.ndarray:
+    """First-reply delay (ms) of delivered rows, mirroring the dataplane.
+
+    A located, prompt host replies after the path delay (site RTT,
+    access and jitter); any other host after its own host delay.  Each
+    row takes only the draw its branch reads.
     """
     cfg = state.host_config
-    n = state.rows
-    responds = state.stable & (
-        _round_draw(state, _hosts._CHURN_SALT, round_id) >= cfg.churn_probability
+    late_replier = _draw(state, _hosts._LATE_SALT, round_id, rows) < cfg.late_fraction
+    use_path = state.lat_ok[rows] & ~late_replier
+    path = np.flatnonzero(use_path)
+    host = np.flatnonzero(~use_path)
+    delay = np.empty(rows.size, dtype=np.float64)
+
+    path_rows = rows[path]
+    jitter = state.jitter_scale * _draw(
+        state, _latency._JITTER_SALT, round_id, path_rows
+    )
+    delay[path] = (
+        state.site_rtt[site[path], path_rows] + state.access[path_rows] + jitter
     )
 
-    # Site selection with per-round flips.
-    flip_draw = _round_draw(state, _instability._FLIP_SALT, round_id)
-    has_alternate = state.alternate >= 0
-    flips = has_alternate & (
-        (state.participates & (flip_draw < state.flip_config.flipper_flip_probability))
-        | (~state.flipper & (flip_draw < state.flip_config.background_flip_probability))
-    )
-    site = np.where(flips, state.alternate, state.base)
-    delivered = responds & (site >= 0)
-
-    # Reply counts (duplicates).
-    tail = _round_draw(state, _hosts._DUPN_SALT, round_id)
-    heavy = tail < cfg.heavy_duplicate_fraction
-    counts = np.ones(n, dtype=np.int64)
-    counts[state.duplicator & ~heavy] = 2
-    heaviness = tail / cfg.heavy_duplicate_fraction
-    heavy_counts = 3 + ((cfg.max_duplicates - 3) * heaviness).astype(np.int64)
-    counts = np.where(state.duplicator & heavy, heavy_counts, counts)
-    counts = np.where(delivered, counts, 0)
-
-    # First-reply delay (milliseconds), mirroring the dataplane.
-    latency_draw = _round_draw(state, _hosts._LATENCY_SALT, round_id)
-    late_replier = (
-        _round_draw(state, _hosts._LATE_SALT, round_id) < cfg.late_fraction
-    )
-    host_delay = np.where(
-        late_replier,
+    latency_draw = _draw(state, _hosts._LATENCY_SALT, round_id, rows[host])
+    delay[host] = np.where(
+        late_replier[host],
         cfg.late_threshold_ms * (1.0 + 4.0 * latency_draw),
         10.0 + 390.0 * latency_draw,
     )
-    jitter = state.jitter_scale * _round_draw(state, _latency._JITTER_SALT, round_id)
-    site_clamped = np.clip(site, 0, len(state.site_codes) - 1)
-    path_delay = (
-        state.site_rtt[site_clamped, np.arange(n)] + state.access + jitter
-    )
-    use_path = state.lat_ok & ~late_replier & (site >= 0)
-    delay = np.where(use_path, path_delay, host_delay)
-    return site, delay, counts
+    return delay
 
 
 def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
@@ -310,6 +349,11 @@ def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
 
     Module-level so process-pool workers can evaluate pickled shard
     states with the very code the in-process engine runs.
+
+    Responder-first: each step runs only on the rows it can still
+    change (see the module docstring).  Replies of off-address rows are
+    counted as unsolicited whatever their timing, so delays and
+    cleaning run on the on-address delivered rows alone.
 
     Cleaning needs a row's send offset only when the offset can change
     how many of its replies beat the cut-off.  Every step of
@@ -320,8 +364,14 @@ def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
     produces) therefore gets it at every slot in between.  Only the
     remaining *open* rows have their schedule positions computed.
     """
-    site, delay, counts = _round_replies(state, round_id)
-    delivered = counts > 0
+    delivered, delivered_site = _delivered(state, round_id)
+    delivered_counts = _reply_counts(state, round_id, delivered)
+
+    on_address = ~state.off_address[delivered]
+    rows = delivered[on_address]
+    site = delivered_site[on_address]
+    counts = delivered_counts[on_address]
+    delay = _first_reply_delay(state, round_id, rows, site)
 
     # Cleaning: how many of each block's replies beat the cut-off?
     reply_delay = delay / 1000.0
@@ -331,30 +381,26 @@ def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
     open_rows = np.flatnonzero(within != first_slot)
     within[open_rows] = _replies_within(
         state,
-        send_offsets(state, round_id, open_rows),
+        send_offsets(state, round_id, rows[open_rows]),
         reply_delay[open_rows],
         counts[open_rows],
     )
 
-    received = int(counts.sum())
-    unsolicited_mask = delivered & state.off_address
-    unsolicited = int(counts[unsolicited_mask].sum())
-    countable = delivered & ~state.off_address
-    late = int((counts[countable] - within[countable]).sum())
-    kept_mask = countable & (within >= 1)
-    duplicates = int((within[kept_mask] - 1).sum())
-    kept = int(kept_mask.sum())
-
+    received = int(delivered_counts.sum())
+    countable = int(counts.sum())
+    keep = within >= 1
     stats = ScanStats(
         probes_sent=state.rows,
         replies_received=received,
         wrong_round=0,
-        unsolicited=unsolicited,
-        late=late,
-        duplicates=duplicates,
-        kept=kept,
+        unsolicited=received - countable,
+        late=countable - int(within.sum()),
+        duplicates=int((within[keep] - 1).sum()),
+        kept=int(keep.sum()),
     )
-    return RoundArrays(site=site, delay=delay, kept_mask=kept_mask, stats=stats)
+    return RoundArrays(
+        rows=rows[keep], site=site[keep], delay=delay[keep], stats=stats
+    )
 
 
 def materialise_columnar(
@@ -371,16 +417,12 @@ def materialise_columnar(
     array compares and pickling a list of rounds serialises the
     universe once (pickle memoises the shared ndarray).
     """
+    sites = np.full(state.rows, -1, dtype=np.int16)
+    sites[arrays.rows] = arrays.site
     catchment = ArrayCatchmentMap(
-        state.site_codes,
-        state.blocks,
-        np.where(arrays.kept_mask, arrays.site, np.int16(-1)).astype(np.int16),
-        validate=False,
+        state.site_codes, state.blocks, sites, validate=False
     )
-    rtts = BlockValueMap(
-        state.blocks[arrays.kept_mask].astype(np.int64),
-        arrays.delay[arrays.kept_mask],
-    )
+    rtts = BlockValueMap(state.blocks[arrays.rows].astype(np.int64), arrays.delay)
     return ScanResult(
         dataset_id=dataset_id,
         round_id=round_id,
@@ -629,10 +671,8 @@ class FastScanEngine:
         # Dict-backed reference materialisation (equivalence baseline).
         mapping: Dict[int, str] = {}
         rtt_dict: Dict[int, float] = {}
-        kept_blocks = state.blocks[arrays.kept_mask].astype(np.int64)
-        kept_sites = arrays.site[arrays.kept_mask]
-        kept_delays = arrays.delay[arrays.kept_mask]
-        for block, site_idx, block_delay in zip(kept_blocks, kept_sites, kept_delays):
+        kept_blocks = state.blocks[arrays.rows].astype(np.int64)
+        for block, site_idx, block_delay in zip(kept_blocks, arrays.site, arrays.delay):
             mapping[int(block)] = state.site_codes[site_idx]  # reprolint: disable=D110 — reference path
             rtt_dict[int(block)] = float(block_delay)  # reprolint: disable=D110 — reference path
         catchment: CatchmentMap = CatchmentMap(state.site_codes, mapping)

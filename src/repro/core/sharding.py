@@ -15,9 +15,10 @@ payload is just ``(store root, fingerprint, shard bounds, round
 params)`` — a few hundred bytes regardless of universe size.  Each
 worker process attaches the fingerprinted arrays as read-only memmaps
 through a per-process cache (`core.pool`), so repeated series over one
-engine ship no arrays at all.  Results come back compact too: kept-only
-site/delay columns plus a packed keep mask; the parent rebuilds full
-columns against its own copy of the universe.
+engine ship no arrays at all.  Results come back compact too: each
+round's kept rows only (uint32 local row indices, site indices,
+delays); the parent rebuilds full columns against its own copy of the
+universe.
 
 The merged output is **bit-identical** to the single-process path, by
 construction rather than by luck:
@@ -37,7 +38,7 @@ construction rather than by luck:
   interval;
 * float accumulations are never merged as per-shard partial sums
   (float addition is not associative).  Workers return exact integers
-  (int16 site indices, packed bool masks, per-row float64 delays that
+  (kept row indices, int16 site indices, per-row float64 delays that
   are copied, never summed); the parent owns **all** float
   accumulation, running each daily/hourly ``bincount`` as one full
   pass in fixed order — the identical sequence of additions the
@@ -59,8 +60,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.anycast.catchment import ArrayCatchmentMap
-from repro.collector.results import BlockValueMap, ScanResult, ScanStats
-from repro.core.fastscan import FastScanEngine, RoundState, evaluate_round
+from repro.collector.results import ScanResult, ScanStats
+from repro.core.fastscan import (
+    FastScanEngine,
+    RoundArrays,
+    RoundState,
+    evaluate_round,
+    materialise_columnar,
+)
 from repro.core.pool import ShardPool, attached_array, attached_round_state
 from repro.core.tables import ensure_array
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
@@ -240,29 +247,25 @@ def _payload_bytes(payloads: Sequence[object]) -> int:
 # -- pool workers (top-level so they pickle; fingerprints in, columns out) --
 
 
-def _scan_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, ScanStats]]:
-    """Evaluate every round of one shard; returns compact round columns.
+def _scan_shard_worker(payload) -> List[RoundArrays]:
+    """Evaluate every round of one shard; returns its kept-row rounds.
 
     The payload carries no arrays — just the store root, the round
     state's content fingerprint, and the shard bounds; the state is
     attached (or found warm) in this process's cache.  Each round comes
-    back as ``(kept site indices, packed keep mask, kept delays,
-    stats)``: the parent rebuilds full-universe columns from its own
-    copy, so result pickling scales with *kept* rows only.
+    back as the shard's :class:`~repro.core.fastscan.RoundArrays`: kept
+    local row indices, their site indices and delays, and the stats, so
+    result pickling scales with *kept* rows only.  The local rows ship
+    as uint32 (a shard never reaches 2**32 rows), half the bytes of
+    int64; :func:`_merge_round` widens them back.
     """
     store_root, fingerprint, start, stop, rounds = payload
     state = attached_round_state(store_root, fingerprint).shard(start, stop)
     results = []
     for round_id in range(rounds):
         arrays = evaluate_round(state, round_id)
-        results.append(
-            (
-                arrays.site[arrays.kept_mask],
-                np.packbits(arrays.kept_mask),
-                arrays.delay[arrays.kept_mask],
-                arrays.stats,
-            )
-        )
+        arrays.rows = arrays.rows.astype(np.uint32)
+        results.append(arrays)
     return results
 
 
@@ -289,49 +292,38 @@ def _join_shard_worker(payload) -> np.ndarray:
 
 def _merge_round(
     state: RoundState,
-    shard_rounds: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, ScanStats]],
+    shard_rounds: Sequence[RoundArrays],
     bounds: Sequence[Tuple[int, int]],
     round_id: int,
     interval_seconds: float,
     dataset_prefix: str,
 ) -> ScanResult:
-    """Rebuild one round's full-universe result from compact shard columns.
+    """Rebuild one round's full-universe result from its shards' rounds.
 
-    Exactly mirrors :func:`repro.core.fastscan.materialise_columnar`
-    per shard — full site column is ``-1`` except where the keep mask
-    is set, RTT rows are the kept blocks in shard order — then
-    concatenates, so the result is bit-identical to evaluating the
-    full universe in one pass.
+    Shards tile the universe in order and each shard's kept rows
+    ascend, so widening every shard's uint32 rows to int64, offsetting
+    them by its start and concatenating gives exactly the kept rows of
+    a full-universe round;
+    :func:`~repro.core.fastscan.materialise_columnar` then builds the
+    result the single-process engine would.
     """
-    site_parts: List[np.ndarray] = []
-    block_parts: List[np.ndarray] = []
-    value_parts: List[np.ndarray] = []
-    for (start, stop), (kept_sites, packed_mask, kept_delays, _) in zip(
-        bounds, shard_rounds
-    ):
-        rows = stop - start
-        mask = np.unpackbits(packed_mask, count=rows).view(np.bool_)
-        sites = np.full(rows, -1, dtype=np.int16)
-        sites[mask] = kept_sites
-        site_parts.append(sites)
-        block_parts.append(state.blocks[start:stop][mask].astype(np.int64))
-        value_parts.append(kept_delays)
-    sites = site_parts[0] if len(site_parts) == 1 else np.concatenate(site_parts)
-    catchment = ArrayCatchmentMap(
-        state.site_codes, state.blocks, sites, validate=False
+    merged = RoundArrays(
+        rows=np.concatenate(
+            [
+                part.rows.astype(np.int64) + start
+                for (start, _), part in zip(bounds, shard_rounds)
+            ]
+        ),
+        site=np.concatenate([part.site for part in shard_rounds]),
+        delay=np.concatenate([part.delay for part in shard_rounds]),
+        stats=merge_stats([part.stats for part in shard_rounds]),
     )
-    rtts = BlockValueMap(
-        block_parts[0] if len(block_parts) == 1 else np.concatenate(block_parts),
-        value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts),
-    )
-    return ScanResult(
-        dataset_id=f"{dataset_prefix}-r{round_id:03d}",
-        round_id=round_id,
-        start_time=round_id * interval_seconds,
-        duration_seconds=state.duration_seconds,
-        catchment=catchment,
-        stats=merge_stats([part[3] for part in shard_rounds]),
-        rtts=rtts,
+    return materialise_columnar(
+        state,
+        merged,
+        round_id,
+        round_id * interval_seconds,
+        f"{dataset_prefix}-r{round_id:03d}",
     )
 
 

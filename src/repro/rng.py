@@ -68,16 +68,33 @@ def mix64_np(values):
 
     Bit-for-bit identical to the scalar version (uint64 arithmetic
     wraps exactly like the masked Python ints), so vectorised engines
-    reproduce scalar draws exactly.
+    reproduce scalar draws exactly.  ``values`` is not modified.
     """
     import numpy as np
 
-    z = values.astype(np.uint64, copy=True)
+    return _mix64_inplace(np.array(values, dtype=np.uint64))
+
+
+def _mix64_inplace(z):
+    """:func:`mix64_np` on a uint64 array ``z`` that it may overwrite.
+
+    Runs in place with one scratch buffer for the shifts, instead of
+    allocating a temporary per operation.
+    """
+    import numpy as np
+
+    shifted = np.empty_like(z)
     with np.errstate(over="ignore"):
         z += np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+        np.right_shift(z, np.uint64(30), out=shifted)
+        z ^= shifted
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        np.right_shift(z, np.uint64(27), out=shifted)
+        z ^= shifted
+        z *= np.uint64(0x94D049BB133111EB)
+        np.right_shift(z, np.uint64(31), out=shifted)
+        z ^= shifted
+    return z
 
 
 def _absorb_np(h, components):
@@ -89,7 +106,8 @@ def _absorb_np(h, components):
             mixed = np.uint64(mix64(component))
         else:
             mixed = mix64_np(np.asarray(component, dtype=np.uint64))
-        h = mix64_np(h ^ mixed)
+        # ``h ^ mixed`` is a fresh buffer, so it is mixed in place.
+        h = _mix64_inplace(np.asarray(h ^ mixed))
     return h
 
 

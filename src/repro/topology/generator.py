@@ -250,22 +250,17 @@ class _Builder:
 
     def _transit_preference(self, country: Country, rng) -> List[int]:
         """Transit providers ordered: same country, same region, anywhere."""
-        same_country = [
-            asn
-            for asn in self.transit_asns
-            if self.ases[asn].country_code == country.code
-        ]
-        same_region = [
-            asn
-            for asn in self.transit_asns
-            if country_by_code(self.ases[asn].country_code).region == country.region
-            and self.ases[asn].country_code != country.code
-        ]
-        anywhere = [
-            asn
-            for asn in self.transit_asns
-            if asn not in same_country and asn not in same_region
-        ]
+        same_country: List[int] = []
+        same_region: List[int] = []
+        anywhere: List[int] = []
+        for asn in self.transit_asns:
+            code = self.ases[asn].country_code
+            if code == country.code:
+                same_country.append(asn)
+            elif country_by_code(code).region == country.region:
+                same_region.append(asn)
+            else:
+                anywhere.append(asn)
         rng.shuffle(same_country)
         rng.shuffle(same_region)
         rng.shuffle(anywhere)

@@ -57,6 +57,18 @@ def broot_routing(broot_verfploeter):
 
 
 @pytest.fixture(scope="session")
+def round_states(broot_verfploeter, broot_routing):
+    """Round states of the tiny B-Root and a small Tangled scenario."""
+    from repro.core.fastscan import FastScanEngine
+
+    small = tangled_like(scale="small", seed=5)
+    return {
+        "tiny": FastScanEngine(broot_verfploeter, broot_routing).state,
+        "small": FastScanEngine(Verfploeter(small.internet, small.service)).state,
+    }
+
+
+@pytest.fixture(scope="session")
 def broot_scan(broot_verfploeter, broot_routing):
     """One completed scan of the tiny B-Root scenario."""
     return broot_verfploeter.run_scan(routing=broot_routing, dataset_id="SBV-test")

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.rng import derive_rng, derive_seed, mix64, splitmix64, uniform_unit
+from repro.rng import (
+    derive_rng,
+    derive_seed,
+    hash_prefix_np,
+    mix64,
+    mix64_np,
+    splitmix64,
+    uniform_from_prefix_np,
+    uniform_unit,
+    uniform_unit_np,
+)
+
+uint64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+uint64_arrays = st.lists(uint64, min_size=1, max_size=40).map(
+    lambda values: np.array(values, dtype=np.uint64)
+)
 
 
 class TestDeriveSeed:
@@ -73,3 +89,48 @@ class TestUniformUnit:
         assert 0.45 < mean < 0.55
         low = sum(1 for v in values if v < 0.1) / len(values)
         assert 0.05 < low < 0.15
+
+
+class TestVectorisedEqualsScalar:
+    """The numpy draws are the scalar draws, value for value."""
+
+    @given(uint64_arrays)
+    def test_mix64_np(self, values):
+        mixed = mix64_np(values)
+        assert mixed.dtype == np.uint64
+        assert [int(v) for v in mixed] == [mix64(int(v)) for v in values]
+
+    def test_mix64_np_extremes(self):
+        values = np.array([0, (1 << 64) - 1, 1, 1 << 63], dtype=np.uint64)
+        assert [int(v) for v in mix64_np(values)] == [mix64(int(v)) for v in values]
+
+    @given(uint64_arrays)
+    def test_mix64_np_leaves_input_alone(self, values):
+        before = values.copy()
+        mix64_np(values)
+        assert np.array_equal(values, before)
+
+    @given(uint64, st.integers(min_value=0, max_value=1000), uint64_arrays)
+    def test_uniform_unit_np(self, seed, salt, blocks):
+        vector = uniform_unit_np(seed, salt, blocks)
+        assert vector.tolist() == [uniform_unit(seed, salt, int(b)) for b in blocks]
+
+    @given(
+        uint64,
+        st.integers(min_value=0, max_value=1000),
+        uint64_arrays,
+        st.integers(min_value=0, max_value=10_000),
+        st.data(),
+    )
+    def test_gathered_prefix_equals_full_draw(self, seed, salt, blocks, round_id, data):
+        """Finishing a gathered prefix gives those rows' full draws: the
+        identity that lets a round draw only the rows that matter."""
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, blocks.size - 1), max_size=blocks.size)),
+            dtype=np.int64,
+        )
+        gathered = uniform_from_prefix_np(
+            hash_prefix_np(seed, salt, blocks)[rows], round_id
+        )
+        full = uniform_unit_np(seed, salt, blocks, round_id)
+        assert gathered.tobytes() == full[rows].tobytes()

@@ -20,24 +20,12 @@ from hypothesis import strategies as st
 from repro.collector.cleaning import CleaningConfig
 from repro.core import fastscan
 from repro.core.fastscan import FastScanEngine, evaluate_round
-from repro.core.scenarios import tangled_like
-from repro.core.sharding import assert_buffers_equal, run_sharded_series
+from repro.core.sharding import run_sharded_series
 from repro.core.tables import TableStore
 from repro.core.verfploeter import Verfploeter
 from repro.probing.hitlist import Hitlist
 from repro.probing.prober import ProberConfig
-from tests.fastscan_oracle import eager_evaluate_round
-
-
-@pytest.fixture(scope="module")
-def states(broot_verfploeter, broot_routing):
-    small = tangled_like(scale="small", seed=5)
-    return {
-        "tiny": FastScanEngine(broot_verfploeter, broot_routing).state,
-        "small": FastScanEngine(
-            Verfploeter(small.internet, small.service)
-        ).state,
-    }
+from tests.fastscan_oracle import assert_rounds_identical, eager_evaluate_round
 
 
 def _verfploeter(scenario, rate_pps, late_cutoff, hitlist=None) -> Verfploeter:
@@ -51,13 +39,6 @@ def _verfploeter(scenario, rate_pps, late_cutoff, hitlist=None) -> Verfploeter:
         cleaning=CleaningConfig(late_cutoff_seconds=late_cutoff),
         hitlist=hitlist,
     )
-
-
-def _assert_rounds_identical(actual, expected) -> None:
-    assert actual.stats == expected.stats
-    assert_buffers_equal(actual.site, expected.site, "site")
-    assert_buffers_equal(actual.delay, expected.delay, "delay")
-    assert_buffers_equal(actual.kept_mask, expected.kept_mask, "kept_mask")
 
 
 def _recording_send_offsets(monkeypatch):
@@ -90,10 +71,10 @@ def _recording_send_offsets(monkeypatch):
     sharded=st.booleans(),
 )
 def test_lazy_offsets_equal_the_eager_schedule(
-    states, scale, rate_pps, late_cutoff, max_duplicates, round_id, bounds,
+    round_states, scale, rate_pps, late_cutoff, max_duplicates, round_id, bounds,
     sharded,
 ):
-    base = states[scale]
+    base = round_states[scale]
     state = replace(
         base,
         rate_pps=rate_pps,
@@ -104,18 +85,18 @@ def test_lazy_offsets_equal_the_eager_schedule(
         low, high = sorted(int(bound * state.rows) for bound in bounds)
         start = min(low, state.rows - 1)
         state = state.shard(start, max(high, start + 1))
-    _assert_rounds_identical(
+    assert_rounds_identical(
         evaluate_round(state, round_id), eager_evaluate_round(state, round_id)
     )
 
 
-def test_binding_schedule_opens_rows(states, monkeypatch):
+def test_binding_schedule_opens_rows(round_states, monkeypatch):
     """At 20 pps the small round's schedule spans ~400 s, past a 300 s
     cut-off: some rows stay open, and they alone are scheduled."""
-    state = replace(states["small"], rate_pps=20.0, late_cutoff=300.0)
+    state = replace(round_states["small"], rate_pps=20.0, late_cutoff=300.0)
     asked = _recording_send_offsets(monkeypatch)
     for round_id in range(3):
-        _assert_rounds_identical(
+        assert_rounds_identical(
             evaluate_round(state, round_id),
             eager_evaluate_round(state, round_id),
         )
@@ -123,10 +104,10 @@ def test_binding_schedule_opens_rows(states, monkeypatch):
     assert len(asked) == 3
 
 
-def test_default_config_schedules_nothing(states, monkeypatch):
+def test_default_config_schedules_nothing(round_states, monkeypatch):
     """At 10k pps and a 900 s cut-off no offset can matter."""
     asked = _recording_send_offsets(monkeypatch)
-    evaluate_round(states["small"], 1)
+    evaluate_round(round_states["small"], 1)
     assert asked == [0]
 
 
