@@ -1,6 +1,6 @@
 # Convenience targets for the verfploeter reproduction.
 
-.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-columnar bench-obs bench-sharded bench-sharded-smoke bench-playbook docs examples report serve-smoke digests all
+.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-columnar bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-playbook-smoke docs examples report serve-smoke digests all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -52,6 +52,10 @@ bench-sharded-smoke:
 # Regenerate the playbook-search perf baseline (BENCH_playbook.json):
 # cache-accelerated search vs scratch, artifacts asserted byte-identical.
 bench-playbook:
+	REPRO_PLAYBOOK_BENCH=record PYTHONPATH=src python -m pytest benchmarks/bench_extension_playbook.py --benchmark-only -s
+
+# The same search and assertions, writing nothing (CI runs this one).
+bench-playbook-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/bench_extension_playbook.py --benchmark-only -s
 
 # Documentation gate: every intra-repo markdown link resolves, and the

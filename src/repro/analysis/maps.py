@@ -48,7 +48,7 @@ def load_grid(
 ) -> GeoGrid:
     """Figure 4a: load-weighted map; unmapped-but-loaded blocks are UNK."""
     grid = GeoGrid(cell_degrees)
-    daily = estimate.source.daily_of_kind(estimate.kind)
+    daily = estimate.daily_column()
     for row, block in enumerate(estimate.blocks):
         volume = float(daily[row])
         if volume <= 0:
@@ -69,7 +69,7 @@ def server_load_grid(
 ) -> GeoGrid:
     """Figure 4b: load map keyed by an arbitrary block->server function."""
     grid = GeoGrid(cell_degrees)
-    daily = estimate.source.daily_of_kind(estimate.kind)
+    daily = estimate.daily_column()
     for row, block in enumerate(estimate.blocks):
         volume = float(daily[row])
         if volume <= 0:

@@ -47,7 +47,7 @@ def traffic_coverage(
     blocks_mapped = 0
     queries_seen = 0.0
     queries_mapped = 0.0
-    daily = estimate.source.daily_of_kind(estimate.kind)
+    daily = estimate.daily_column()
     for row, block in enumerate(estimate.blocks):
         volume = float(daily[row])
         if volume <= 0:

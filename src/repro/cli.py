@@ -440,8 +440,6 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    import numpy as np
-
     from repro.service import MappingService, MeasurementState, replay_feed
 
     scenario = _build_scenario(args)
@@ -455,7 +453,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     routing = verfploeter.routing_for()
     estimate = LoadEstimate(scenario.day_load("serve-day"))
-    universe = np.array(verfploeter.hitlist.blocks, dtype=np.uint64)
+    universe = verfploeter.hitlist.block_array
     pool = None
     weighter = None
     if args.workers is not None:

@@ -486,7 +486,7 @@ class FastScanEngine:
 
         hitlist = verfploeter.hitlist
         n = len(hitlist)
-        blocks = np.array(hitlist.blocks, dtype=np.uint64)
+        blocks = hitlist.block_array
         site_codes = list(self.routing.policy.site_codes)
         site_index = {code: i for i, code in enumerate(site_codes)}
 

@@ -55,7 +55,7 @@ import os
 import pickle
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,9 +72,8 @@ from repro.core.pool import ShardPool, attached_array, attached_round_state
 from repro.core.tables import ensure_array
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import UNKNOWN, SiteLoad
+from repro.load.weighting import UNKNOWN, SiteLoad, accumulate_loads
 from repro.obs import NULL_OBSERVER, Observer
-from repro.traffic.logs import HOURS
 
 
 @dataclass(frozen=True)
@@ -417,10 +416,10 @@ def sharded_weight_catchment(
     traffic-row join to exact int16 site indices over memmapped
     columns (nothing but fingerprints and bounds is shipped out, int16
     slices shipped back), while the parent owns every float
-    accumulation — the daily ``bincount`` and each hour column run as
-    full single passes in fixed order, exactly as the single-process
-    join performs them.  Pass an open ``ShardPool`` to share warm
-    workers with a scan series.
+    accumulation and runs it through
+    :func:`~repro.load.weighting.accumulate_loads`, the single-process
+    join's own kernel, over the full rows in fixed order.  Pass an
+    open ``ShardPool`` to share warm workers with a scan series.
     """
     if observer is None:
         observer = NULL_OBSERVER
@@ -465,30 +464,12 @@ def sharded_weight_catchment(
                 _join_shard_worker, join_payloads, observer=observer
             )
             buckets = _buckets_of(index_parts, unknown_bucket)
-            daily_values = estimate.source.daily_of_kind(estimate.kind)
-            daily_sums = np.bincount(
-                buckets, weights=daily_values, minlength=unknown_bucket + 1
-            )
-            hourly_sums = np.zeros((unknown_bucket + 1, HOURS))
-            if hourly:
-                matrix = estimate.hourly_matrix()
-                for hour in range(HOURS):
-                    hourly_sums[:, hour] = np.bincount(
-                        buckets,
-                        weights=matrix[:, hour],
-                        minlength=unknown_bucket + 1,
-                    )
-            daily = {code: float(daily_sums[i]) for i, code in enumerate(site_codes)}
-            daily[UNKNOWN] = float(daily_sums[unknown_bucket])
-            hourly_acc: Dict[str, np.ndarray] = {
-                code: hourly_sums[i] for i, code in enumerate(site_codes)
-            }
-            hourly_acc[UNKNOWN] = hourly_sums[unknown_bucket]
+            load = accumulate_loads(site_codes, buckets, estimate, hourly)
             span.set(join_rows=len(estimate), payload_bytes=payload_bytes)
     metrics = observer.metrics
     metrics.counter("scan.shard.payload_bytes").inc(payload_bytes)
     metrics.gauge("load.join_rows").set(len(estimate))
-    return SiteLoad(site_codes, daily, hourly_acc)
+    return load
 
 
 def _buckets_of(index_parts: Sequence[np.ndarray], unknown_bucket: int) -> np.ndarray:
@@ -498,5 +479,5 @@ def _buckets_of(index_parts: Sequence[np.ndarray], unknown_bucket: int) -> np.nd
         if len(index_parts) == 1
         else np.concatenate(index_parts)
     )
-    indices = joined.astype(np.int64)
+    indices = joined.astype(np.intp)
     return np.where(indices >= 0, indices, unknown_bucket)

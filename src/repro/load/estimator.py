@@ -2,12 +2,51 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import DatasetError
 from repro.traffic.logs import DayLoad, LoadKind
+
+
+class JoinPlan(NamedTuple):
+    """Where an estimate's traffic blocks sit in one block universe.
+
+    ``key`` is the universe the plan was computed against: the caller's
+    array itself when it is read-only down its whole ``.base`` chain,
+    else a private copy (so an in-place write to the caller's array
+    cannot go unnoticed).
+    ``rows`` holds, per traffic row, its position in the universe
+    (clipped into range, ``None`` for an empty universe) and ``found``
+    whether the block is really there.
+    """
+
+    key: np.ndarray
+    rows: Optional[np.ndarray]
+    found: np.ndarray
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array it views are read-only."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+def _plan_matches(key: np.ndarray, universe: np.ndarray) -> bool:
+    """Whether a plan computed against ``key`` holds for ``universe``.
+
+    A read-only array (over read-only memory all the way down) is taken
+    as immutable, so identity suffices; anything else (a writeable
+    array, an equal copy, a re-attached memmap) must compare equal
+    element for element.
+    """
+    if universe is key:
+        return _frozen(universe)
+    return key.shape == universe.shape and np.array_equal(key, universe)
 
 
 class LoadEstimate:
@@ -16,6 +55,12 @@ class LoadEstimate:
     This is the calibration weight Verfploeter attaches to each block:
     whatever the catchment says about *where* a block goes, the estimate
     says *how much* traffic goes with it.
+
+    The estimate also carries what the load join
+    (:mod:`repro.load.weighting`) would otherwise recompute on every
+    call: the daily column, the hourly matrix and the :class:`JoinPlan`
+    of the last universe it was joined against.  The plan is not
+    pickled; an unpickled estimate plans again on its first join.
     """
 
     def __init__(self, load: DayLoad, kind: str = LoadKind.QUERIES) -> None:
@@ -24,8 +69,16 @@ class LoadEstimate:
         self.kind = kind
         self.source = load
         self._daily = load.daily_of_kind(kind)
+        self._daily.flags.writeable = False
         self._row_of = load.row_of
-        self._hourly_matrix: "np.ndarray | None" = None
+        self._hourly_matrix: Optional[np.ndarray] = None
+        self._plan: Optional[JoinPlan] = None
+
+    def __getstate__(self) -> dict:
+        """Pickle the estimate without its join plan."""
+        state = self.__dict__.copy()
+        state["_plan"] = None
+        return state
 
     def __len__(self) -> int:
         return len(self.source)
@@ -34,6 +87,40 @@ class LoadEstimate:
     def blocks(self) -> np.ndarray:
         """Blocks with recorded traffic."""
         return self.source.blocks
+
+    def daily_column(self) -> np.ndarray:
+        """Daily load of every block, rows aligned with :attr:`blocks`.
+
+        Equal bit for bit to ``source.daily_of_kind(kind)``, computed
+        once at construction and returned read-only.
+        """
+        return self._daily
+
+    def join_plan(self, universe: np.ndarray) -> JoinPlan:
+        """The :class:`JoinPlan` of :attr:`blocks` in ``universe``.
+
+        ``universe`` is a strictly-ascending ``uint64`` block array (a
+        catchment's universe).  One plan is cached: it is reused while
+        the universe is the same read-only array or an equal one, and
+        recomputed (replacing the cached plan in one assignment, so
+        concurrent joins never see half a plan) otherwise.  An array
+        that is read-only, down its whole ``.base`` chain, whenever it
+        is joined is assumed never to change.
+        """
+        plan = self._plan
+        if plan is not None and _plan_matches(plan.key, universe):
+            return plan
+        keys = self.blocks.astype(np.uint64)
+        if universe.size == 0:
+            rows = None
+            found = np.zeros(keys.size, dtype=bool)
+        else:
+            rows = np.minimum(np.searchsorted(universe, keys), universe.size - 1)
+            found = universe[rows] == keys
+        key = universe if _frozen(universe) else universe.copy()
+        plan = JoinPlan(key, rows, found)
+        self._plan = plan
+        return plan
 
     def of_block(self, block: int) -> float:
         """Daily load of ``block`` (0.0 when it sent nothing)."""

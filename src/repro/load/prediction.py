@@ -48,7 +48,7 @@ def measured_site_load(routing: RoutingOutcome, estimate: LoadEstimate) -> SiteL
     daily: Dict[str, float] = {code: 0.0 for code in site_codes}
     daily[UNKNOWN] = 0.0
     blocks = estimate.blocks
-    daily_values = estimate.source.daily_of_kind(estimate.kind)
+    daily_values = estimate.daily_column()
     for row, block in enumerate(blocks):
         site = routing.site_of_block(int(block))
         bucket = site if site is not None else UNKNOWN

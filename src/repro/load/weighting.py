@@ -7,12 +7,29 @@ send traffic but were not mapped (no ping reply) go to the ``UNK``
 bucket — the paper shows their traffic splits like the mapped blocks'
 (§5.5), so predictions normalise over known sites.
 
-Array-backed catchments take a columnar path: one ``searchsorted`` join
-(inside :meth:`ArrayCatchmentMap.site_indices_of`) resolves every
-traffic block's site at once, then ``bincount`` passes (one daily, one
-per hour) accumulate the loads.  ``bincount`` adds rows in input
-order, so the float64 sums are bit-identical to the dict-backed
-reference loop.
+Array-backed catchments take a planned columnar path that pays only
+for what differs between catchments:
+
+* **Join plan.**  Where each traffic block sits in the catchment's
+  block universe (a ``searchsorted`` position plus a found mask) is
+  cached on the :class:`~repro.load.estimator.LoadEstimate`, one entry
+  keyed on the universe.  A read-only universe (over read-only memory
+  all the way down, like a hitlist's shared block array) is taken as
+  immutable and matched by identity; any other universe matches only
+  an equal one (``shape`` plus ``array_equal`` against a private copy),
+  so an in-place write is never served a stale plan.  Every catchment
+  of one hitlist shares one universe, so rounds and playbook
+  candidates all hit the same plan.
+* **Per call** the join gathers ``site_index_array[rows]`` into
+  ``intp`` bucket ids (``UNK`` for unmapped or absent blocks) and hands
+  them to :func:`accumulate_loads`: one ``bincount`` over the estimate's
+  cached daily column and one flat ``bincount`` over the row-major
+  hourly matrix, keyed ``bucket * 24 + hour``.
+
+``bincount`` adds its inputs in order, so every per-site (and
+per-site-hour) float64 sum sees the rows in the same order as the
+dict-backed reference loop: the loads are bit-identical.  A segmented
+``np.add.reduceat`` over stable-sorted rows is not, and is not used.
 """
 # reprolint: hot-path
 
@@ -180,38 +197,69 @@ def _weight_reference(
     return SiteLoad(site_codes, daily, hourly_acc)
 
 
+def accumulate_loads(
+    site_codes: List[str],
+    buckets: np.ndarray,
+    estimate: LoadEstimate,
+    hourly: bool,
+) -> SiteLoad:
+    """Sum ``estimate``'s rows into per-site loads by bucket id.
+
+    ``buckets`` holds one ``intp`` per traffic row: a site index, or
+    ``len(site_codes)`` for ``UNK``.  Every accumulation is a
+    ``bincount``, which adds rows in input order, so each per-bucket
+    (and, hourly, per-hour) sum sees the same sequence of float64
+    additions as the reference loop.  This is the one accumulation
+    kernel of both the inline and the sharded join.
+    """
+    unknown_bucket = len(site_codes)
+    size = unknown_bucket + 1
+    daily_sums = np.bincount(
+        buckets, weights=estimate.daily_column(), minlength=size
+    )
+    daily = {code: float(daily_sums[i]) for i, code in enumerate(site_codes)}
+    daily[UNKNOWN] = float(daily_sums[unknown_bucket])
+    if hourly:
+        # One flat pass over the row-major matrix: cell (row, hour) goes
+        # to accumulator ``bucket * 24 + hour``, and each accumulator
+        # still receives its rows in input order.
+        keys = np.take(
+            np.arange(size * HOURS, dtype=np.intp).reshape(size, HOURS),
+            buckets,
+            axis=0,
+        )
+        hourly_sums = np.bincount(
+            keys.ravel(),
+            weights=estimate.hourly_matrix().ravel(),
+            minlength=size * HOURS,
+        ).reshape(size, HOURS)
+    else:
+        hourly_sums = np.zeros((size, HOURS))
+    hourly_acc = {code: hourly_sums[i] for i, code in enumerate(site_codes)}
+    hourly_acc[UNKNOWN] = hourly_sums[unknown_bucket]
+    return SiteLoad(site_codes, daily, hourly_acc)
+
+
 def _weight_columnar(
     catchment: ArrayCatchmentMap,
     estimate: LoadEstimate,
     hourly: bool,
 ) -> SiteLoad:
-    """One-pass array join and accumulation.
+    """Planned join: gather each traffic row's site, then accumulate.
 
-    ``bincount`` processes input rows in order, so each per-bucket
-    (and, hourly, per-hour) accumulator sees the identical sequence of
-    float64 additions as the reference loop — the results are
-    bit-equal, not just close.
+    The row positions come from the estimate's cached
+    :meth:`~repro.load.estimator.LoadEstimate.join_plan`, so a join
+    against an already-planned universe does no search at all.
     """
     site_codes = catchment.site_codes
     unknown_bucket = len(site_codes)
-    indices = catchment.site_indices_of(estimate.blocks).astype(np.int64)
-    buckets = np.where(indices >= 0, indices, unknown_bucket)
-    daily_values = estimate.source.daily_of_kind(estimate.kind)
-    daily_sums = np.bincount(
-        buckets, weights=daily_values, minlength=unknown_bucket + 1
-    )
-    daily = {code: float(daily_sums[i]) for i, code in enumerate(site_codes)}
-    daily[UNKNOWN] = float(daily_sums[unknown_bucket])
-    hourly_sums = np.zeros((unknown_bucket + 1, HOURS))
-    if hourly:
-        matrix = estimate.hourly_matrix()
-        for hour in range(HOURS):
-            hourly_sums[:, hour] = np.bincount(
-                buckets, weights=matrix[:, hour], minlength=unknown_bucket + 1
-            )
-    hourly_acc = {code: hourly_sums[i] for i, code in enumerate(site_codes)}
-    hourly_acc[UNKNOWN] = hourly_sums[unknown_bucket]
-    return SiteLoad(site_codes, daily, hourly_acc)
+    plan = estimate.join_plan(catchment.universe)
+    if plan.rows is None:
+        buckets = np.full(len(estimate), unknown_bucket, dtype=np.intp)
+    else:
+        buckets = catchment.site_index_array[plan.rows].astype(np.intp)
+        buckets[(buckets < 0) | ~plan.found] = unknown_bucket
+    return accumulate_loads(site_codes, buckets, estimate, hourly)
 
 
 def weight_catchment(

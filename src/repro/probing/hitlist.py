@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import DatasetError
 from repro.netaddr.blocks import format_block
 from repro.rng import mix64, uniform_unit
@@ -41,6 +43,13 @@ class Hitlist:
         blocks = [entry.block for entry in self._entries]
         if len(set(blocks)) != len(blocks):
             raise DatasetError("hitlist has duplicate blocks")
+        self._block_array = np.array(blocks, dtype=np.uint64)
+        self._block_array.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle, keeping the block array read-only."""
+        self.__dict__.update(state)
+        self._block_array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -55,6 +64,16 @@ class Hitlist:
     def blocks(self) -> List[int]:
         """Covered block ids, ascending."""
         return [entry.block for entry in self._entries]
+
+    @property
+    def block_array(self) -> np.ndarray:
+        """Covered block ids as one read-only ascending ``uint64`` array.
+
+        Built once per hitlist and shared: every scan state, and so every
+        catchment, of this hitlist uses it as its block universe, which
+        lets the load join recognise the universe by identity.
+        """
+        return self._block_array
 
     def entry_for(self, block: int) -> Optional[HitlistEntry]:
         """Entry for ``block`` via binary search, or None."""

@@ -24,8 +24,6 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.core.scenarios import broot_like
 from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
@@ -57,7 +55,7 @@ def boot_daemon() -> Tuple[MappingService, str, int]:
     )
     routing = verfploeter.routing_for()
     estimate = LoadEstimate(scenario.day_load("smoke-day"))
-    universe = np.array(verfploeter.hitlist.blocks, dtype=np.uint64)
+    universe = verfploeter.hitlist.block_array
     state = MeasurementState(
         routing.policy.site_codes,
         universe,
